@@ -222,7 +222,7 @@ func TestCancelMidEpochRollback(t *testing.T) {
 					}
 					continue
 				}
-				snap := be.Snapshot()
+				snap := recovery.CheckpointKernel(be)
 				err := be.RunEpoch(k)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancelled epoch: got %v, want context.Canceled", err)
@@ -231,7 +231,7 @@ func TestCancelMidEpochRollback(t *testing.T) {
 				// epoch must leave no trace in memory or the tracker.
 				be.SetStepHook(nil)
 				be.SetContext(context.Background())
-				if err := be.Restore(snap); err != nil {
+				if err := recovery.RestoreKernel(be, snap); err != nil {
 					t.Fatalf("restore after cancel: %v", err)
 				}
 				if err := be.RunEpoch(k); err != nil {
@@ -319,4 +319,46 @@ func superviseDurable(t *testing.T, be cancelBackend, pol recovery.Policy, path 
 	}
 	t.Fatal("unknown backend")
 	return recovery.DurableOutcome{}, nil
+}
+
+// TestCrossBackendDurableResume checks that the two backends' WALs are
+// interchangeable: one backend's durable run is cancelled mid-epoch, the
+// other backend resumes from its WAL, and the finished memory equals an
+// uninterrupted reference — in both directions.
+func TestCrossBackendDurableResume(t *testing.T) {
+	build := balancedBuilder(t)
+	pol := recovery.Policy{MaxRetries: 1, MaxRestarts: 1}
+
+	for _, dir := range [][2]string{{"interp", "codegen"}, {"codegen", "interp"}} {
+		writer, resumer := dir[0], dir[1]
+		t.Run(writer+"-to-"+resumer, func(t *testing.T) {
+			exits, wantWords := epochSteps(t, build(writer))
+			target := cancelTarget(t, exits)
+
+			walPath := filepath.Join(t.TempDir(), "kernel.wal")
+			be := build(writer)
+			cancel := armCancel(be, target)
+			defer cancel()
+			out, err := superviseDurable(t, be, pol, walPath)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled %s run: got err %v, want context.Canceled", writer, err)
+			}
+			if out.Seals != cancelEpoch {
+				t.Fatalf("%s sealed %d epochs, want %d", writer, out.Seals, cancelEpoch)
+			}
+
+			be2 := build(resumer)
+			out2, err := superviseDurable(t, be2, pol, walPath)
+			if err != nil {
+				t.Fatalf("%s resume: %v", resumer, err)
+			}
+			if !out2.Resumed || out2.ResumeEpoch != cancelEpoch {
+				t.Fatalf("%s resume: Resumed=%v ResumeEpoch=%d, want true/%d", resumer, out2.Resumed, out2.ResumeEpoch, cancelEpoch)
+			}
+			if out2.Tainted || out2.Detected || out2.CorruptRecords != 0 {
+				t.Fatalf("%s resume not clean: %+v", resumer, out2)
+			}
+			diffWords(t, be2.Mem().Words(), wantWords)
+		})
+	}
 }

@@ -2,13 +2,13 @@ package codegen
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"defuse/internal/checksum"
 	"defuse/internal/lang"
 	"defuse/internal/memsim"
+	"defuse/internal/recovery"
 	"defuse/telemetry"
 )
 
@@ -58,10 +58,8 @@ type Machine struct {
 	ctxCheck uint64
 
 	// Cached outermost-loop bounds, evaluated when epoch 0 executes (they
-	// may depend on scalars the prologue computes) — the native analogue of
-	// interp.EpochPlan's lo/hi/haveBounds.
-	lo, hi     int64
-	haveBounds bool
+	// may depend on scalars the prologue computes).
+	bounds recovery.LoopBounds
 
 	trace   telemetry.Sink
 	metrics *telemetry.Registry
@@ -227,7 +225,7 @@ func (m *Machine) Reset() {
 	m.stepHook = nil
 	m.ctx = nil
 	m.ctxCheck = 0
-	m.lo, m.hi, m.haveBounds = 0, 0, false
+	m.bounds = recovery.LoopBounds{}
 }
 
 // Param returns a parameter's value. Generated code binds parameters once at
@@ -252,12 +250,12 @@ func (m *Machine) Var(name string) (base int, dims []int64) {
 
 // SetBounds caches the outermost loop's bounds, evaluated by epoch 0.
 func (m *Machine) SetBounds(lo, hi int64) {
-	m.lo, m.hi, m.haveBounds = lo, hi, true
+	m.bounds = recovery.LoopBounds{Lo: lo, Hi: hi, Set: true}
 }
 
 // Bounds returns the cached outermost-loop bounds; ok is false before epoch
 // 0 has evaluated them.
-func (m *Machine) Bounds() (lo, hi int64, ok bool) { return m.lo, m.hi, m.haveBounds }
+func (m *Machine) Bounds() (lo, hi int64, ok bool) { return m.bounds.Lo, m.bounds.Hi, m.bounds.Set }
 
 // ErrNoBounds reports an epoch run before epoch 0 cached the loop bounds,
 // with interp's message text.
@@ -315,10 +313,10 @@ func (m *Machine) Fold(a checksum.Acc, v uint64, n int64) { m.pair.ScaleFold(a, 
 // source position.
 func (m *Machine) Assert(line, col int) error {
 	if err := m.pair.Verify(); err != nil {
-		m.emitVerify(err)
+		m.obs().EmitVerify(m.pair, err)
 		return &DetectionError{Pos: lang.Pos{Line: line, Col: col}, Err: err}
 	}
-	m.emitVerify(nil)
+	m.obs().EmitVerify(m.pair, nil)
 	return nil
 }
 
@@ -349,31 +347,7 @@ func (m *Machine) IntExpected(line, col int) error {
 	return &RuntimeError{Pos: lang.Pos{Line: line, Col: col}, Msg: "expected integer value"}
 }
 
-// emitVerify mirrors interp.Machine.emitVerify: verify.ok on a match,
-// verify.mismatch plus a detection event on a caught memory error.
-func (m *Machine) emitVerify(err error) {
-	if m.trace == nil && m.metrics == nil {
-		return
-	}
-	if err == nil {
-		telemetry.Emit(m.trace, telemetry.EvVerifyOK, map[string]any{
-			"def": m.pair.Def, "use": m.pair.Use,
-			"e_def": m.pair.EDef, "e_use": m.pair.EUse,
-		})
-		m.metrics.Counter("defuse_verifications_total",
-			telemetry.Label{Key: "result", Value: "ok"}).Inc()
-		return
-	}
-	fields := map[string]any{"error": err.Error()}
-	var mm *checksum.MismatchError
-	if errors.As(err, &mm) {
-		fields["which"] = mm.Which
-		fields["expected"] = mm.Expected
-		fields["observed"] = mm.Observed
-	}
-	telemetry.Emit(m.trace, telemetry.EvVerifyMismatch, fields)
-	telemetry.Emit(m.trace, telemetry.EvDetection, fields)
-	m.metrics.Counter("defuse_verifications_total",
-		telemetry.Label{Key: "result", Value: "mismatch"}).Inc()
-	m.metrics.Counter("defuse_detections_total").Inc()
+// obs returns the machine's telemetry hooks.
+func (m *Machine) obs() recovery.KernelObs {
+	return recovery.KernelObs{Trace: m.trace, Metrics: m.metrics, Tracer: m.tracer}
 }

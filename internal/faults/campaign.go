@@ -611,13 +611,7 @@ func (c *Campaign) runChunk(ctx context.Context, job chunkJob, ws *workerState) 
 			}
 			tspan := cfg.Tracer.Start(chunk.Context(), "trial",
 				append([]telemetry.Attr{telemetry.Int("trial", trial)}, cellAttrs...)...)
-			var out trialTally
-			var err error
-			if cfg.Backend == BackendDME {
-				out, err = runDMETrial(tctx, cfg, trial, inst, tspan.Context())
-			} else {
-				out, err = runEpochTrial(tctx, cfg, trial, sh, inst, tspan.Context())
-			}
+			out, err := runEpochTrial(tctx, cfg, trial, sh, inst, tspan.Context())
 			tcancel()
 			if err != nil {
 				tspan.EndErr(err)

@@ -108,70 +108,46 @@ type crashReport struct {
 	Tainted        bool   `json:"tainted"`
 }
 
-// crashWorkload is the deterministic epoch program a crash trial runs: every
-// epoch advances each word through the bijective update under the def/use
-// discipline, with boundary finalize/verify/re-register — the same shape as
-// an epoch injection trial, minus the injected fault. The only perturbation
-// is the crash step.
+// crashWorkload is the deterministic epoch program a crash trial runs: the
+// word-array workload under the def/use checksums, with no injected fault.
+// The only perturbation is the crash step, a strike that kills the process.
 type crashWorkload struct {
-	words, epochs int
-	crashAt       int64 // global step to die before; -1 = never
-	step          int64
-	mem           *memsim.Memory
-	tr            *rt.Tracker
-	counters      []rt.Counter
+	words    int
+	mem      *memsim.Memory
+	tr       *rt.Tracker
+	counters []rt.Counter
+	arr      *WordArray
+	sums     *SumWords
 }
 
 func newCrashWorkload(spec CrashSpec) *crashWorkload {
 	w := &crashWorkload{
 		words:    spec.Words,
-		epochs:   spec.Epochs,
-		crashAt:  spec.CrashStep,
 		mem:      memsim.New(spec.Words),
 		tr:       rt.NewTrackerWith(spec.Kind),
 		counters: make([]rt.Counter, spec.Words),
+		arr:      &WordArray{Epochs: spec.Epochs},
 	}
 	init := make([]uint64, spec.Words)
 	NewInjector(spec.Seed).Fill(init, Random)
-	for i := 0; i < spec.Words; i++ {
-		w.mem.Poke(i, init[i])
-		rt.DefDyn(w.tr, &w.counters[i], uint64(0), init[i])
+	for i, v := range init {
+		w.mem.Poke(i, v)
 	}
-	return w
-}
-
-// maybeCrash is the kill site: SIGKILL is unblockable and unhandlable, so the
-// process dies exactly as if the machine had lost power between two steps.
-func (w *crashWorkload) maybeCrash() {
-	if w.crashAt >= 0 && w.step == w.crashAt {
-		_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-		select {} // unreachable: SIGKILL cannot be caught or ignored
-	}
-}
-
-func (w *crashWorkload) run(k int) error {
-	for i := 0; i < w.words; i++ {
-		w.maybeCrash()
-		w.step++
-		v := rt.Use(w.tr, &w.counters[i], w.mem.Load(i))
-		next := update(v)
-		w.mem.Store(i, next)
-		rt.DefDyn(w.tr, &w.counters[i], v, next)
-	}
-	return nil
-}
-
-func (w *crashWorkload) verify(k int) error {
-	for i := 0; i < w.words; i++ {
-		rt.Final(w.tr, &w.counters[i], w.mem.Peek(i))
-	}
-	_, err := w.tr.EndEpoch()
-	if err == nil && k != w.epochs-1 {
-		for i := 0; i < w.words; i++ {
-			rt.DefDyn(w.tr, &w.counters[i], uint64(0), w.mem.Peek(i))
+	w.sums = NewSumWords(w.mem, w.tr, w.counters, w.tr, nil)
+	if spec.CrashStep >= 0 {
+		// The kill site: SIGKILL is unblockable and unhandlable, so the
+		// process dies exactly as if the machine had lost power between two
+		// steps. A crash step past the run's last step never fires.
+		w.arr.Strike = Strike{
+			Epoch: int(spec.CrashStep / int64(spec.Words)),
+			Word:  int(spec.CrashStep % int64(spec.Words)),
+			Hit: func(int, int) (int, int) {
+				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+				select {} // unreachable: SIGKILL cannot be caught or ignored
+			},
 		}
 	}
-	return err
+	return w
 }
 
 // encodeState renders the complete workload state: the sealed epoch state
@@ -232,14 +208,6 @@ func (w *crashWorkload) decodeState(b []byte) error {
 	return w.mem.Restore(snap)
 }
 
-// crashSnap is the in-memory per-epoch checkpoint for rollback retries (the
-// crash trial injects no data faults, so it exists for supervisor symmetry).
-type crashSnap struct {
-	mem      memsim.Snapshot
-	state    rt.EpochState
-	counters []rt.Counter
-}
-
 // crashFingerprint pins a WAL record to one trial's exact workload, so a
 // record from another trial (or a stale file) can never resume this one.
 func crashFingerprint(spec CrashSpec) uint64 {
@@ -257,31 +225,10 @@ func runCrashSpec(ctx context.Context, spec CrashSpec) (crashReport, error) {
 		return crashReport{}, fmt.Errorf("faults: crash spec needs words, epochs, and a wal path")
 	}
 	w := newCrashWorkload(spec)
+	cfg := w.arr.Config(ctx, w.sums)
+	cfg.Policy = recovery.DefaultPolicy()
 	d := &recovery.DurableSupervisor{
-		Config: recovery.Config{
-			Epochs: spec.Epochs,
-			Run:    w.run,
-			Verify: w.verify,
-			Checkpoint: func() any {
-				return crashSnap{
-					mem:      w.mem.Snapshot(),
-					state:    w.tr.BeginEpoch(),
-					counters: append([]rt.Counter(nil), w.counters...),
-				}
-			},
-			Restore: func(snap any) error {
-				s := snap.(crashSnap)
-				if err := w.mem.Restore(s.mem); err != nil {
-					return err
-				}
-				if err := w.tr.Rollback(s.state); err != nil {
-					return err
-				}
-				copy(w.counters, s.counters)
-				return nil
-			},
-			Policy: recovery.DefaultPolicy(),
-		},
+		Config:      cfg,
 		Path:        spec.WAL,
 		Fingerprint: crashFingerprint(spec),
 		EncodeState: w.encodeState,

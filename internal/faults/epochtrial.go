@@ -12,40 +12,52 @@ import (
 	"defuse/telemetry"
 )
 
-// This file runs one epoch-structured injection trial. Unlike the classic
-// Table 1 experiment (one checksum over a dead array), the epoch trial keeps
-// the array live: every epoch loads each word, advances it through a
-// bijective update, and stores it back under the rt def/use discipline. At
-// every epoch boundary the trial finalizes all live variables so the
-// checksums are quiescent, verifies them, and re-registers the words for the
-// next epoch — the paper's post-dominator verification placement applied per
-// iteration block. A fault injected inside epoch k therefore either aliases
-// (escapes, as in Table 1) or is detected at epoch k's own boundary:
-// detection latency zero. With EndOnlyVerify the same trial verifies only at
-// the final boundary, measuring the latency the epoch scheme removes, and
-// with Recover the trial runs under the checkpoint/rollback supervisor and
-// reports whether the corrupted run was steered back to the correct final
-// state.
+// This file runs one epoch-structured injection trial: the word-array
+// workload (words.go) under the cell's detector, with one fault struck
+// inside a random epoch. With EndOnlyVerify the trial verifies only at the
+// final boundary, measuring the latency the epoch scheme removes, and with
+// Recover it runs under the checkpoint/rollback supervisor and reports
+// whether the corrupted run was steered back to the correct final state.
 //
 // With a non-data Target the same fault model is aimed at the detector
 // itself (see the Target constants in coverage.go), and Hardened selects
 // whether the trial runs the detector's self-checks — boundary scrubs and
 // digest-verified checkpoint restores — or the unchecked baseline.
 
-// update advances one word per epoch. It is a bijective (odd-multiplier) LCG
-// step, so any corruption of a word propagates to a wrong final state rather
-// than being coincidentally reconverged.
-func update(v uint64) uint64 { return v*2862933555777941757 + 3037000493 }
+// trialDraws is one epoch trial's random coordinates.
+type trialDraws struct {
+	init              []uint64
+	injEpoch, injWord int
+	flips             []BitFlip
+	// Detector-target coordinates.
+	accSel         checksum.Acc
+	accBit, ctrBit uint
+	ckPos, ckBit   int
+	// addrTarget is the address fault's effective index; addrSkip reports
+	// that the region is too small to model the fault.
+	addrTarget int
+	addrSkip   bool
+}
 
-// epochTrialSnap checkpoints everything an epoch mutates: the simulated
-// memory, the tracker's sealed epoch state, and the shadow use counters. The
-// injection plan is deliberately outside the snapshot — a transient fault
-// does not recur when the epoch re-executes.
-type epochTrialSnap struct {
-	mem      memsim.Snapshot
-	state    rt.EpochState
-	addr     addrsum.EpochState // sealed address streams (addrsum backend only)
-	counters []rt.Counter
+// drawTrial draws a trial's coordinates from its seed. Every draw is
+// consumed whatever the cell's backend, target and fault shape, in a fixed
+// order with new draws appended last, so the same (seed, trial) races the
+// same fault on every detector and older cells stay byte-stable.
+func drawTrial(cfg CoverageConfig, trial int) trialDraws {
+	in := NewInjector(trialSeed(cfg.Seed, trial))
+	var d trialDraws
+	d.init = make([]uint64, cfg.Words)
+	in.Fill(d.init, cfg.Pattern)
+	d.injEpoch = in.Intn(cfg.Epochs)
+	d.injWord = in.Intn(cfg.Words)
+	d.flips = in.PickBits(cfg.Words, cfg.BitFlips)
+	d.accSel = checksum.Acc(in.Intn(4))
+	d.accBit = uint(in.Intn(64))
+	d.ctrBit = uint(in.Intn(64))
+	d.ckPos = in.Intn(cfg.Words + 4)
+	d.ckBit = in.Intn(64)
+	d.addrTarget, d.addrSkip = drawAddrFault(in, cfg.AddrFault, d.injWord, cfg.Words)
+	return d
 }
 
 // drawAddrFault resolves an address-fault cell's effective target index. Both
@@ -87,280 +99,183 @@ func indexBitFlip(idx, words, draw int) (int, bool) {
 	return idx, true
 }
 
+// trialPolicy is a cell's recovery policy: detect only, or bounded retries
+// and one restart under Recover. There is no backoff pause inside the
+// simulation: a retry re-executes immediately so campaigns stay fast and
+// deterministic in wall time.
+func trialPolicy(cfg CoverageConfig) recovery.Policy {
+	if !cfg.Recover {
+		return recovery.Policy{}
+	}
+	retries := cfg.MaxRetries
+	if retries <= 0 {
+		retries = 2
+	}
+	return recovery.Policy{MaxRetries: retries, MaxRestarts: 1}
+}
+
 // runEpochTrial executes one supervised epoch trial and tallies its outcome.
-// The trial folds through the worker's reusable shard — its tracker is Reset
-// on entry and its counter table recycled — so the campaign allocates one
-// tracker per (worker, operator) instead of one per trial. inst carries the
-// cell's pre-resolved telemetry instruments.
-// span is the parent the supervisor's spans attach to (the campaign's
-// per-trial span); pass the zero context when untraced.
+// The checksum and addrsum detectors fold through the worker's reusable
+// shard — its tracker is Reset on entry and its counter table recycled — so
+// the campaign allocates one tracker per (worker, operator) instead of one
+// per trial; the DME detector takes no shard (sh may be nil). inst carries
+// the cell's pre-resolved telemetry instruments. span is the parent the
+// supervisor's spans attach to (the campaign's per-trial span); pass the
+// zero context when untraced.
 func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, sh *rt.Shard, inst cellInstruments, span telemetry.SpanContext) (trialTally, error) {
-	words, epochs := cfg.Words, cfg.Epochs
-	in := NewInjector(trialSeed(cfg.Seed, trial))
+	dr := drawTrial(cfg, trial)
+	w := &WordArray{Epochs: cfg.Epochs, endOnly: cfg.EndOnlyVerify, unchecked: !cfg.Hardened}
 
-	init := make([]uint64, words)
-	in.Fill(init, cfg.Pattern)
-	injEpoch := in.Intn(epochs)
-	injWord := in.Intn(words)
-	flips := in.PickBits(words, cfg.BitFlips)
-	// Detector-target coordinates, drawn unconditionally (after the draws
-	// above) so every target's random stream is stable and the data-target
-	// stream is unchanged from earlier campaign versions.
-	accSel := checksum.Acc(in.Intn(4))
-	accBit := uint(in.Intn(64))
-	ctrBit := uint(in.Intn(64))
-	ckPos := in.Intn(words + 4)
-	ckBit := in.Intn(64)
-	// Address-fault coordinates, appended after every earlier draw (same
-	// discipline: new draws last, so pre-existing cells stay byte-stable).
-	addrTarget, addrSkip := drawAddrFault(in, cfg.AddrFault, injWord, words)
-
-	mem := memsim.New(words)
-	tr := sh.Tracker()
-	tr.Reset()
-	counters := sh.Counters(words)
-	// The addrsum backend folds address streams through the shard tracker's
-	// attached addrsum.Tracker (one allocation per worker, reused across
-	// trials) and never touches the data accumulators, so every verdict is
-	// attributable to the address detector alone.
-	isAddrBackend := cfg.Backend == BackendAddrsum
-	var at *addrsum.Tracker
-	if isAddrBackend {
-		at = tr.Addr()
-		if at == nil {
-			at = addrsum.NewTracker()
-			tr.AttachAddr(at)
+	var tr *rt.Tracker
+	var counters []rt.Counter
+	maskTried := false
+	// pre runs at every verified boundary of the checksum detectors, after
+	// the finalize and before the verify.
+	pre := func(k int) error {
+		if cfg.Target == TargetMasking && w.struck && !maskTried {
+			// The adversarial second half of the masking fault:
+			// compensating single-bit flips of the use and e_use
+			// accumulators that cancel the data flip's imbalance, making
+			// verification pass on wrong data. Only possible when the
+			// accumulator bit values line up (always for XOR, about one
+			// trial in four for ModAdd).
+			maskTried = true
+			tryMask(tr, cfg.Kind)
 		}
-		at.Reset()
+		if !cfg.Hardened {
+			return nil
+		}
+		if serr := tr.ScrubDetector(); serr != nil {
+			telemetry.Emit(cfg.Trace, telemetry.EvScrubFail, map[string]any{
+				"trial": trial, "epoch": k, "error": serr.Error(),
+			})
+			inst.scrubFail.Inc()
+			return serr
+		}
+		telemetry.Emit(cfg.Trace, telemetry.EvScrubPass, map[string]any{
+			"trial": trial, "epoch": k,
+		})
+		inst.scrubPass.Inc()
+		return nil
 	}
-	for i := 0; i < words; i++ {
-		mem.Poke(i, init[i])
-		if !isAddrBackend {
-			rt.DefDyn(tr, &counters[i], uint64(0), init[i])
+	var d WordDetector
+	var flip func(word, bit int) // a data flip in the protected words
+	if cfg.Backend == BackendDME {
+		dd := newDMEWords(dr.init)
+		d, flip = dd, dd.a.FlipBit
+	} else {
+		mem := memsim.New(cfg.Words)
+		for i, v := range dr.init {
+			mem.Poke(i, v)
+		}
+		flip = mem.FlipBit
+		tr = sh.Tracker()
+		tr.Reset()
+		if cfg.Backend == BackendAddrsum {
+			// The address streams fold through the shard tracker's attached
+			// addrsum.Tracker (one allocation per worker, reused across
+			// trials), which the tracker's scrub covers.
+			at := tr.Addr()
+			if at == nil {
+				at = addrsum.NewTracker()
+				tr.AttachAddr(at)
+			}
+			at.Reset()
+			d = &addrWords{mem: mem, at: at, pre: pre}
+		} else {
+			counters = sh.Counters(cfg.Words)
+			d = NewSumWords(mem, tr, counters, tr, pre)
 		}
 	}
-	injected := false
-	// dataInjected records whether the trial corrupts the protected array at
-	// all; detector-only targets must not count detections as data faults,
-	// and a skipped address fault injects nothing.
-	dataInjected := (cfg.Target == TargetData || cfg.Target == TargetMasking || cfg.Target == TargetCheckpoint) &&
-		!(cfg.AddrFault != AddrNone && addrSkip)
-	maskTried, masked := false, false
-	sawInitial, ckDone := false, false
 
-	inject := func(k int) {
+	fields := func(k int) map[string]any {
+		f := map[string]any{"trial": trial, "epoch": k, "scheme": "epoch"}
+		if cfg.Backend != BackendChecksum {
+			f["backend"] = cfg.Backend.String()
+		}
+		return f
+	}
+	w.Strike = Strike{Epoch: dr.injEpoch, Word: dr.injWord, Hit: func(k, i int) (int, int) {
+		if cfg.AddrFault != AddrNone {
+			// The effective addresses diverge from the intended index i
+			// for exactly this access (the transient corrupted-register
+			// model).
+			if dr.addrSkip {
+				return i, i
+			}
+			store := i
+			if cfg.AddrFault == AddrAlias {
+				// The register was corrupted before the load and reused for
+				// the store: the whole read-modify-write lands on the
+				// wrong (valid) word.
+				store = dr.addrTarget
+			}
+			f := fields(k)
+			f["fault"], f["intent"], f["effective"] = cfg.AddrFault.String(), i, dr.addrTarget
+			telemetry.Emit(cfg.Trace, telemetry.EvFaultInjected, f)
+			return dr.addrTarget, store
+		}
 		switch cfg.Target {
 		case TargetAccumulator:
-			tr.CorruptAccumulator(accSel, accBit)
+			tr.CorruptAccumulator(dr.accSel, dr.accBit)
 		case TargetCounter:
-			rt.CorruptCounter(&counters[injWord], ctrBit)
-		default: // data, masking, checkpoint: corrupt the protected array
-			for _, f := range flips {
-				mem.FlipBit(f.Word, f.Bit)
+			rt.CorruptCounter(&counters[dr.injWord], dr.ctrBit)
+		default: // data, masking, checkpoint: corrupt the protected words
+			for _, f := range dr.flips {
+				flip(f.Word, f.Bit)
 			}
 		}
 		if cfg.Trace != nil {
-			fields := map[string]any{
-				"trial": trial, "epoch": k, "scheme": "epoch",
-				"words": words, "target": cfg.Target.String(),
-			}
+			f := fields(k)
+			f["words"], f["target"] = cfg.Words, cfg.Target.String()
 			switch cfg.Target {
 			case TargetAccumulator:
-				fields["acc"] = accSel.String()
-				fields["bit"] = accBit
+				f["acc"], f["bit"] = dr.accSel.String(), dr.accBit
 			case TargetCounter:
-				fields["word"] = injWord
-				fields["bit"] = ctrBit
+				f["word"], f["bit"] = dr.injWord, dr.ctrBit
 			default:
-				coords := make([]map[string]any, len(flips))
-				for fi, f := range flips {
-					coords[fi] = map[string]any{"word": f.Word, "bit": f.Bit}
+				coords := make([]map[string]any, len(dr.flips))
+				for fi, fl := range dr.flips {
+					coords[fi] = map[string]any{"word": fl.Word, "bit": fl.Bit}
 				}
-				fields["flips"] = coords
+				f["flips"] = coords
 			}
-			telemetry.Emit(cfg.Trace, telemetry.EvFaultInjected, fields)
+			telemetry.Emit(cfg.Trace, telemetry.EvFaultInjected, f)
 		}
-	}
+		return i, i
+	}}
 
-	run := func(k int) error {
-		for i := 0; i < words; i++ {
-			// loadIdx/storeIdx are the *effective* addresses; an address
-			// fault diverges them from the intended index i for exactly one
-			// iteration (the transient corrupted-register model).
-			loadIdx, storeIdx := i, i
-			if !injected && k == injEpoch && i == injWord {
-				injected = true
-				if cfg.AddrFault != AddrNone {
-					if !addrSkip {
-						loadIdx = addrTarget
-						if cfg.AddrFault == AddrAlias {
-							// The register was corrupted before the load and
-							// reused for the store: the whole read-modify-write
-							// lands on the wrong (valid) word.
-							storeIdx = addrTarget
-						}
-						telemetry.Emit(cfg.Trace, telemetry.EvFaultInjected, map[string]any{
-							"trial": trial, "epoch": k, "scheme": "epoch",
-							"fault": cfg.AddrFault.String(), "intent": i, "effective": addrTarget,
-						})
-					}
+	rc := w.Config(ctx, d)
+	if cfg.Target == TargetCheckpoint {
+		// The supervisor's very first Checkpoint call captures the initial
+		// (whole-run) state; the fault targets the per-epoch checkpoint
+		// parked for epoch injEpoch, once.
+		checkpoint, sawInitial, done := rc.Checkpoint, false, false
+		rc.Checkpoint = func() any {
+			snap := checkpoint().(wordSnap)
+			if !sawInitial {
+				sawInitial = true
+			} else if !done && tr.Epoch() == dr.injEpoch {
+				done = true
+				if dr.ckPos < cfg.Words {
+					snap.mem.FlipBit(dr.ckPos, dr.ckBit)
 				} else {
-					inject(k)
-				}
-			}
-			if isAddrBackend {
-				v := mem.Load(loadIdx)
-				at.Load(i, loadIdx)
-				next := update(v)
-				mem.Store(storeIdx, next)
-				at.Store(i, storeIdx)
-			} else {
-				v := rt.Use(tr, &counters[i], mem.Load(loadIdx))
-				next := update(v)
-				mem.Store(storeIdx, next)
-				rt.DefDyn(tr, &counters[i], v, next)
-			}
-		}
-		return nil
-	}
-
-	verify := func(k int) error {
-		last := k == epochs-1
-		if cfg.EndOnlyVerify && !last {
-			return nil
-		}
-		if isAddrBackend {
-			// The address streams are quiescent at any boundary (no
-			// finalize needed: every fold is complete when its access is).
-			if cfg.Hardened {
-				if serr := tr.ScrubDetector(); serr != nil {
-					inst.scrubFail.Inc()
-					return serr
-				}
-				inst.scrubPass.Inc()
-			}
-			_, err := at.EndEpoch()
-			return err
-		}
-		// Finalize every live variable so the boundary is checksum-quiescent,
-		// verify, then re-register the survivors for the next epoch.
-		for i := 0; i < words; i++ {
-			rt.Final(tr, &counters[i], mem.Peek(i))
-		}
-		if cfg.Target == TargetMasking && injected && !maskTried {
-			// The adversarial second half of the masking fault: compensating
-			// single-bit flips of the use and e_use accumulators that cancel
-			// the data flip's imbalance, making verification pass on wrong
-			// data. Only possible when the accumulator bit values line up
-			// (always for XOR, about one trial in four for ModAdd).
-			maskTried = true
-			masked = tryMask(tr, cfg.Kind)
-		}
-		if cfg.Hardened {
-			if serr := tr.ScrubDetector(); serr != nil {
-				telemetry.Emit(cfg.Trace, telemetry.EvScrubFail, map[string]any{
-					"trial": trial, "epoch": k, "error": serr.Error(),
-				})
-				inst.scrubFail.Inc()
-				return serr
-			}
-			telemetry.Emit(cfg.Trace, telemetry.EvScrubPass, map[string]any{
-				"trial": trial, "epoch": k,
-			})
-			inst.scrubPass.Inc()
-		}
-		_, err := tr.EndEpoch()
-		if !last && err == nil {
-			for i := 0; i < words; i++ {
-				rt.DefDyn(tr, &counters[i], uint64(0), mem.Peek(i))
-			}
-		}
-		return err
-	}
-
-	pol := recovery.Policy{}
-	if cfg.Recover {
-		retries := cfg.MaxRetries
-		if retries <= 0 {
-			retries = 2
-		}
-		// No backoff pause inside the simulation: a retry re-executes
-		// immediately so campaigns stay fast and deterministic in wall time.
-		pol = recovery.Policy{MaxRetries: retries, MaxRestarts: 1}
-	}
-
-	out, err := recovery.Supervise(ctx, recovery.Config{
-		Epochs: epochs,
-		Run:    run,
-		Verify: verify,
-		Checkpoint: func() any {
-			snap := epochTrialSnap{
-				mem:      mem.Snapshot(),
-				state:    tr.BeginEpoch(),
-				counters: append([]rt.Counter(nil), counters...),
-			}
-			if at != nil {
-				snap.addr = at.BeginEpoch()
-			}
-			if cfg.Target == TargetCheckpoint {
-				// The supervisor's very first Checkpoint call captures the
-				// initial (whole-run) state; the fault targets the per-epoch
-				// checkpoint parked for epoch injEpoch, once.
-				if !sawInitial {
-					sawInitial = true
-				} else if !ckDone && tr.Epoch() == injEpoch {
-					ckDone = true
-					if ckPos < words {
-						snap.mem.FlipBit(ckPos, ckBit)
-					} else {
-						flipEpochStateField(&snap.state, ckPos-words, uint(ckBit))
-					}
+					flipEpochStateField(&snap.state, dr.ckPos-cfg.Words, uint(dr.ckBit))
 				}
 			}
 			return snap
-		},
-		Restore: func(snap any) error {
-			s := snap.(epochTrialSnap)
-			if cfg.Hardened {
-				if rerr := mem.Restore(s.mem); rerr != nil {
-					return rerr
-				}
-				if rerr := tr.Rollback(s.state); rerr != nil {
-					return rerr
-				}
-			} else {
-				if rerr := mem.RestoreUnchecked(s.mem); rerr != nil {
-					return rerr
-				}
-				if rerr := tr.RollbackUnchecked(s.state); rerr != nil {
-					return rerr
-				}
-			}
-			if at != nil {
-				if cfg.Hardened {
-					if rerr := at.Rollback(s.addr); rerr != nil {
-						return rerr
-					}
-				} else {
-					at.RollbackUnchecked(s.addr)
-				}
-			}
-			copy(counters, s.counters)
-			return nil
-		},
-		Policy:  pol,
-		Trace:   cfg.Trace,
-		Metrics: cfg.Metrics,
-		Tracer:  cfg.Tracer,
-		Span:    span,
-	})
+		}
+	}
+	rc.Policy = trialPolicy(cfg)
+	rc.Trace, rc.Metrics, rc.Tracer, rc.Span = cfg.Trace, cfg.Metrics, cfg.Tracer, span
+	out, err := recovery.Supervise(ctx, rc)
 	if err != nil {
 		return trialTally{}, err
 	}
 
 	// A skipped address fault injected nothing: the trial ran clean and
 	// counts as neither detected nor undetected.
-	skipped := cfg.AddrFault != AddrNone && addrSkip
+	skipped := dr.addrSkip
 	tally := trialTally{
 		skipped:          skipped,
 		undetected:       !out.Detected && !skipped,
@@ -373,18 +288,22 @@ func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, sh *rt.Sh
 		checkpointFaults: out.CheckpointFaults,
 	}
 	if out.Detected {
-		tally.latency = out.FirstDetection - injEpoch
+		tally.latency = out.FirstDetection - dr.injEpoch
 	}
-	finalOK := finalStateCorrect(mem, init, epochs)
-	if out.Recovered && finalOK {
-		tally.recovered = true
+	want := dr.init
+	for i, v := range want {
+		want[i] = Advance(v, cfg.Epochs)
 	}
+	finalOK := d.intact(want)
+	tally.recovered = out.Recovered && finalOK
 	// A false negative is a trial that finished with every check green and a
 	// wrong final state; a false positive is recovery machinery acting on a
-	// data-fault verdict when the protected data was never touched.
+	// data-fault verdict when the protected data was never touched
+	// (detector-only targets never touch it, and a skipped address fault
+	// injects nothing).
+	dataInjected := (cfg.Target == TargetData || cfg.Target == TargetMasking || cfg.Target == TargetCheckpoint) && !skipped
 	tally.falseNegative = !out.Detected && !finalOK
 	tally.falsePositive = !dataInjected && out.DataFaults > 0
-	_ = masked // the mask either held (false negative) or was caught; tallies above cover both
 
 	if !skipped {
 		inst.record(tally.undetected)
@@ -457,19 +376,4 @@ func flipEpochStateField(s *rt.EpochState, sel int, bit uint) {
 	default:
 		s.EUse ^= mask
 	}
-}
-
-// finalStateCorrect reports whether the memory holds exactly the state a
-// fault-free run would have produced: every word advanced epochs times from
-// its initial value.
-func finalStateCorrect(mem *memsim.Memory, init []uint64, epochs int) bool {
-	for i, v := range init {
-		for e := 0; e < epochs; e++ {
-			v = update(v)
-		}
-		if mem.Peek(i) != v {
-			return false
-		}
-	}
-	return true
 }

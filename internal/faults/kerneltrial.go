@@ -6,7 +6,6 @@ import (
 	"defuse/internal/checksum"
 	"defuse/internal/codegen"
 	"defuse/internal/interp"
-	"defuse/internal/memsim"
 	"defuse/internal/recovery"
 	"defuse/telemetry"
 )
@@ -27,44 +26,39 @@ import (
 // final boundary, the placement the paper's Figure 4 verification uses.
 
 // KernelBackend is an epoch-structured execution engine over one
-// instrumented kernel with its data already initialized. Implementations
-// must be deterministic: same program, same initial data, same epoch
-// schedule, same state at every observation point.
+// instrumented kernel with its data already initialized: a recovery.Kernel
+// plus the checks and lookups a trial needs. Implementations must be
+// deterministic: same program, same initial data, same epoch schedule, same
+// state at every observation point.
 type KernelBackend interface {
+	recovery.Kernel
 	// Backend names the engine ("interp" or "codegen").
 	Backend() string
-	// Epochs returns the planned epoch count (after collapse for programs
-	// with no top-level loop).
-	Epochs() int
-	// RunEpoch executes epoch k.
-	RunEpoch(k int) error
 	// Scrub runs the checksum pair's shadow self-check.
 	Scrub() error
 	// Verify runs the full def/use verification.
 	Verify() error
-	// Snapshot captures the words + checksum pair; Restore reinstates them.
-	Snapshot() kernelSnap
-	Restore(s kernelSnap) error
-	// Mem exposes the simulated memory for injection and stamping.
-	Mem() *memsim.Memory
-	// Pair exposes the live checksum accumulators.
-	Pair() *checksum.Pair
 	// Region resolves a variable's memory region for fault targeting.
 	Region(name string) (base, size int, err error)
 }
 
-// kernelSnap is the checkpoint both backends share: the simulated memory
-// and the checksum accumulators with their shadows. Cached loop bounds are
-// deliberately absent — they only transition unset→set while epoch 0 runs,
-// and re-running epoch 0 after a restart recomputes them from restored
-// state, so the snapshot stays backend-symmetric.
-type kernelSnap struct {
-	mem  memsim.Snapshot
-	pair checksum.Pair
+// kernelChecks completes a recovery.Kernel into a KernelBackend.
+type kernelChecks struct {
+	recovery.Kernel
+	name   string
+	region func(string) (int, int, error)
+}
+
+func (b kernelChecks) Backend() string { return b.name }
+func (b kernelChecks) Scrub() error    { return b.Pair().Scrub() }
+func (b kernelChecks) Verify() error   { return b.Pair().Verify() }
+func (b kernelChecks) Region(name string) (int, int, error) {
+	return b.region(name)
 }
 
 // InterpKernelBackend adapts an interpreter machine + epoch plan.
 type InterpKernelBackend struct {
+	kernelChecks
 	M *interp.Machine
 	P *interp.EpochPlan
 }
@@ -75,32 +69,12 @@ func NewInterpKernelBackend(m *interp.Machine, n int) (*InterpKernelBackend, err
 	if err != nil {
 		return nil, err
 	}
-	return &InterpKernelBackend{M: m, P: p}, nil
-}
-
-func (b *InterpKernelBackend) Backend() string      { return "interp" }
-func (b *InterpKernelBackend) Epochs() int          { return b.P.Epochs() }
-func (b *InterpKernelBackend) RunEpoch(k int) error { return b.P.RunEpoch(k) }
-func (b *InterpKernelBackend) Scrub() error         { return b.M.Pair().Scrub() }
-func (b *InterpKernelBackend) Verify() error        { return b.M.Pair().Verify() }
-func (b *InterpKernelBackend) Mem() *memsim.Memory  { return b.M.Mem() }
-func (b *InterpKernelBackend) Pair() *checksum.Pair { return b.M.Pair() }
-func (b *InterpKernelBackend) Snapshot() kernelSnap {
-	return kernelSnap{mem: b.M.Mem().Snapshot(), pair: *b.M.Pair()}
-}
-func (b *InterpKernelBackend) Restore(s kernelSnap) error {
-	if err := b.M.Mem().Restore(s.mem); err != nil {
-		return err
-	}
-	*b.M.Pair() = s.pair
-	return nil
-}
-func (b *InterpKernelBackend) Region(name string) (int, int, error) {
-	return b.M.Region(name)
+	return &InterpKernelBackend{kernelChecks{p, "interp", m.Region}, m, p}, nil
 }
 
 // CodegenKernelBackend adapts a native machine + epoch run.
 type CodegenKernelBackend struct {
+	kernelChecks
 	M *codegen.Machine
 	P *codegen.EpochRun
 }
@@ -112,28 +86,7 @@ func NewCodegenKernelBackend(m *codegen.Machine, u *codegen.Unit, n int) (*Codeg
 	if err != nil {
 		return nil, err
 	}
-	return &CodegenKernelBackend{M: m, P: p}, nil
-}
-
-func (b *CodegenKernelBackend) Backend() string      { return "codegen" }
-func (b *CodegenKernelBackend) Epochs() int          { return b.P.Epochs() }
-func (b *CodegenKernelBackend) RunEpoch(k int) error { return b.P.RunEpoch(k) }
-func (b *CodegenKernelBackend) Scrub() error         { return b.M.Pair().Scrub() }
-func (b *CodegenKernelBackend) Verify() error        { return b.M.Pair().Verify() }
-func (b *CodegenKernelBackend) Mem() *memsim.Memory  { return b.M.Mem() }
-func (b *CodegenKernelBackend) Pair() *checksum.Pair { return b.M.Pair() }
-func (b *CodegenKernelBackend) Snapshot() kernelSnap {
-	return kernelSnap{mem: b.M.Mem().Snapshot(), pair: *b.M.Pair()}
-}
-func (b *CodegenKernelBackend) Restore(s kernelSnap) error {
-	if err := b.M.Mem().Restore(s.mem); err != nil {
-		return err
-	}
-	*b.M.Pair() = s.pair
-	return nil
-}
-func (b *CodegenKernelBackend) Region(name string) (int, int, error) {
-	return b.M.Region(name)
+	return &CodegenKernelBackend{kernelChecks{p, "codegen", m.Region}, m, p}, nil
 }
 
 // KernelTrialConfig parameterizes one kernel trial.
@@ -261,8 +214,8 @@ func RunKernelTrial(ctx context.Context, be KernelBackend, cfg KernelTrialConfig
 		Epochs:     epochs,
 		Run:        run,
 		Verify:     verify,
-		Checkpoint: func() any { return be.Snapshot() },
-		Restore:    func(snap any) error { return be.Restore(snap.(kernelSnap)) },
+		Checkpoint: func() any { return recovery.CheckpointKernel(be) },
+		Restore:    func(snap any) error { return recovery.RestoreKernel(be, snap.(recovery.KernelSnap)) },
 		Policy:     cfg.Policy,
 		Trace:      cfg.Trace,
 		Metrics:    cfg.Metrics,

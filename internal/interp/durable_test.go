@@ -51,26 +51,17 @@ func TestSuperviseDurableResumesAcrossMachines(t *testing.T) {
 	_, p1 := planFor(t, epochTestSrc, n, epochs)
 	d := &recovery.DurableSupervisor{
 		Config: recovery.Config{
-			Epochs: 2, // run just the first two epochs of the four-epoch plan
-			Run:    p1.RunEpoch,
-			Checkpoint: func() any {
-				return epochSnap{mem: p1.m.mem.Snapshot(), pair: *p1.m.pair,
-					lo: p1.lo, hi: p1.hi, haveBounds: p1.haveBounds}
-			},
+			Epochs:     2, // run just the first two epochs of the four-epoch plan
+			Run:        p1.RunEpoch,
+			Checkpoint: func() any { return recovery.CheckpointKernel(p1) },
 			Restore: func(snap any) error {
-				s := snap.(epochSnap)
-				if err := p1.m.mem.Restore(s.mem); err != nil {
-					return err
-				}
-				*p1.m.pair = s.pair
-				p1.lo, p1.hi, p1.haveBounds = s.lo, s.hi, s.haveBounds
-				return nil
+				return recovery.RestoreKernel(p1, snap.(recovery.KernelSnap))
 			},
 		},
 		Path:        path,
 		Fingerprint: p1.Fingerprint(), // the full plan's fingerprint
-		EncodeState: p1.encodeState,
-		DecodeState: p1.decodeState,
+		EncodeState: func() ([]byte, error) { return recovery.EncodeKernel(p1) },
+		DecodeState: func(b []byte) error { return recovery.DecodeKernel(p1, b) },
 	}
 	if _, err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"defuse/internal/lang"
 	"defuse/internal/memsim"
 	"defuse/internal/recovery"
-	"defuse/telemetry"
 )
 
 // This file wires epoch-scoped execution through the interpreter. The
@@ -30,8 +29,7 @@ type EpochPlan struct {
 
 	// Loop bounds are evaluated when epoch 0 executes (they may depend on
 	// scalars the prologue computes).
-	lo, hi     int64
-	haveBounds bool
+	bounds recovery.LoopBounds
 }
 
 // PlanEpochs builds an n-epoch plan over the machine's program. The epoch
@@ -66,9 +64,7 @@ func (p *EpochPlan) Epochs() int { return p.n }
 // be reused for a fresh request: bounds may depend on scalars the prologue
 // computes, so they must be re-evaluated when epoch 0 next runs. Pair with
 // Machine.Reset.
-func (p *EpochPlan) Reset() {
-	p.lo, p.hi, p.haveBounds = 0, 0, false
-}
+func (p *EpochPlan) Reset() { p.bounds = recovery.LoopBounds{} }
 
 // RunEpoch executes epoch k: the prologue (k == 0), the k-th block of
 // outermost-loop iterations, and the epilogue (k == n-1). Epochs must be
@@ -92,22 +88,22 @@ func (p *EpochPlan) RunEpoch(k int) error {
 			if err != nil {
 				return err
 			}
-			p.lo, p.hi, p.haveBounds = lo, hi, true
+			p.bounds = recovery.LoopBounds{Lo: lo, Hi: hi, Set: true}
 		}
 	}
 	if p.loop != nil {
-		if !p.haveBounds {
+		if !p.bounds.Set {
 			return fmt.Errorf("interp: epoch %d run before epoch 0 evaluated loop bounds", k)
 		}
-		count := p.hi - p.lo + 1
+		count := p.bounds.Hi - p.bounds.Lo + 1
 		if count < 0 {
 			count = 0
 		}
 		chunk := (count + int64(p.n) - 1) / int64(p.n)
-		start := p.lo + int64(k)*chunk
+		start := p.bounds.Lo + int64(k)*chunk
 		end := start + chunk - 1
-		if end > p.hi {
-			end = p.hi
+		if end > p.bounds.Hi {
+			end = p.bounds.Hi
 		}
 		for i := start; i <= end; i++ {
 			p.m.iters[p.loop.Iter] = i
@@ -124,63 +120,36 @@ func (p *EpochPlan) RunEpoch(k int) error {
 	return nil
 }
 
-// epochSnap is the supervisor checkpoint of everything an epoch mutates:
-// the simulated memory (as a digest-sealed snapshot), the checksum
-// accumulators, and the plan's cached loop bounds (so a full restart
-// re-evaluates them in epoch 0).
-type epochSnap struct {
-	mem        memsim.Snapshot
-	pair       checksum.Pair
-	lo, hi     int64
-	haveBounds bool
-}
+// Mem returns the machine's simulated memory.
+func (p *EpochPlan) Mem() *memsim.Memory { return p.m.mem }
+
+// Pair returns the machine's checksum pair.
+func (p *EpochPlan) Pair() *checksum.Pair { return p.m.pair }
+
+// LoopBounds returns the plan's outermost-loop bound cache.
+func (p *EpochPlan) LoopBounds() *recovery.LoopBounds { return &p.bounds }
 
 // Supervise runs the plan under a checkpoint/rollback recovery supervisor,
-// verifying the def/use checksums at every epoch boundary. The verification
-// is sound when the instrumentation is epoch-balanced — every value defined
-// in an iteration block has its checksum contributions completed by the
-// block's end, which is exactly the paper's post-dominator condition applied
-// per block. The machine's trace sink and metrics registry, if configured,
-// receive the supervisor's epoch.verify / recovery.* telemetry.
+// verifying the def/use checksums at every epoch boundary (see
+// recovery.SuperviseKernel for the soundness condition). The machine's
+// trace sink and metrics registry, if configured, receive the supervisor's
+// epoch.verify / recovery.* telemetry.
 func (p *EpochPlan) Supervise(ctx context.Context, pol recovery.Policy) (recovery.Outcome, error) {
 	defer p.m.publishMetrics()
-	run := p.m.tracer.Start(telemetry.SpanContext{}, "run", telemetry.Int("epochs", p.n))
-	out, err := recovery.Supervise(ctx, recovery.Config{
-		Epochs: p.n,
-		Run:    p.RunEpoch,
-		Verify: func(int) error {
-			// Scrub first: a diverged accumulator copy means the def/use
-			// comparison below cannot be trusted, and the supervisor must
-			// treat the failure as a detector fault, not a data fault.
-			if err := p.m.pair.Scrub(); err != nil {
-				return err
-			}
-			err := p.m.pair.Verify()
-			p.m.emitVerify(err)
-			return err
-		},
-		Checkpoint: func() any {
-			return epochSnap{
-				mem:  p.m.mem.Snapshot(),
-				pair: *p.m.pair,
-				lo:   p.lo, hi: p.hi, haveBounds: p.haveBounds,
-			}
-		},
-		Restore: func(snap any) error {
-			s := snap.(epochSnap)
-			if err := p.m.mem.Restore(s.mem); err != nil {
-				return err
-			}
-			*p.m.pair = s.pair
-			p.lo, p.hi, p.haveBounds = s.lo, s.hi, s.haveBounds
-			return nil
-		},
-		Policy:  pol,
-		Trace:   p.m.trace,
-		Metrics: p.m.metrics,
-		Tracer:  p.m.tracer,
-		Span:    run.Context(),
-	})
-	run.End(telemetry.Bool("detected", out.Detected), telemetry.Bool("tainted", out.Tainted))
-	return out, err
+	return recovery.SuperviseKernel(ctx, p, pol, p.m.obs())
+}
+
+// SuperviseDurable is Supervise with durable checkpoints: every verified
+// epoch is sealed into the write-ahead log at walPath, and a fresh process
+// pointed at the same log resumes from the newest valid record instead of
+// restarting from scratch (see recovery.SuperviseKernelDurable).
+func (p *EpochPlan) SuperviseDurable(ctx context.Context, pol recovery.Policy, walPath string) (recovery.DurableOutcome, error) {
+	defer p.m.publishMetrics()
+	return recovery.SuperviseKernelDurable(ctx, p, pol, p.m.obs(), walPath, p.Fingerprint())
+}
+
+// Fingerprint identifies the plan's run configuration (see
+// recovery.KernelFingerprint).
+func (p *EpochPlan) Fingerprint() uint64 {
+	return recovery.KernelFingerprint(p, p.m.prog, p.m.params)
 }

@@ -9,7 +9,6 @@ package interp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -17,6 +16,7 @@ import (
 	"defuse/internal/checksum"
 	"defuse/internal/lang"
 	"defuse/internal/memsim"
+	"defuse/internal/recovery"
 	"defuse/telemetry"
 )
 
@@ -458,43 +458,18 @@ func (m *Machine) execStmt(s lang.Stmt, max uint64) error {
 		return m.execChecksum(x)
 	case *lang.AssertChecksums:
 		if err := m.pair.Verify(); err != nil {
-			m.emitVerify(err)
+			m.obs().EmitVerify(m.pair, err)
 			return &DetectionError{Pos: x.Pos, Err: err}
 		}
-		m.emitVerify(nil)
+		m.obs().EmitVerify(m.pair, nil)
 		return nil
 	}
 	return &RuntimeError{Pos: s.StmtPos(), Msg: fmt.Sprintf("unknown statement %T", s)}
 }
 
-// emitVerify streams the outcome of a checksum verification: verify.ok on a
-// match, verify.mismatch plus a detection event (with the mismatching pair
-// and both values) on a caught memory error.
-func (m *Machine) emitVerify(err error) {
-	if m.trace == nil && m.metrics == nil {
-		return
-	}
-	if err == nil {
-		telemetry.Emit(m.trace, telemetry.EvVerifyOK, map[string]any{
-			"def": m.pair.Def, "use": m.pair.Use,
-			"e_def": m.pair.EDef, "e_use": m.pair.EUse,
-		})
-		m.metrics.Counter("defuse_verifications_total",
-			telemetry.Label{Key: "result", Value: "ok"}).Inc()
-		return
-	}
-	fields := map[string]any{"error": err.Error()}
-	var mm *checksum.MismatchError
-	if errors.As(err, &mm) {
-		fields["which"] = mm.Which
-		fields["expected"] = mm.Expected
-		fields["observed"] = mm.Observed
-	}
-	telemetry.Emit(m.trace, telemetry.EvVerifyMismatch, fields)
-	telemetry.Emit(m.trace, telemetry.EvDetection, fields)
-	m.metrics.Counter("defuse_verifications_total",
-		telemetry.Label{Key: "result", Value: "mismatch"}).Inc()
-	m.metrics.Counter("defuse_detections_total").Inc()
+// obs returns the machine's telemetry hooks.
+func (m *Machine) obs() recovery.KernelObs {
+	return recovery.KernelObs{Trace: m.trace, Metrics: m.metrics, Tracer: m.tracer}
 }
 
 func (m *Machine) execAssign(x *lang.Assign) error {

@@ -45,11 +45,6 @@ const (
 	KindKernel = "kernel"
 )
 
-// update advances one word per epoch — the same bijective LCG step the fault
-// campaigns use, so any corruption propagates to a wrong final state instead
-// of coincidentally reconverging.
-func update(v uint64) uint64 { return v*2862933555777941757 + 3037000493 }
-
 // mix is the splitmix64 finalizer, used to derive per-request initial words
 // and to chain result digests.
 func mix(z uint64) uint64 {
@@ -78,18 +73,14 @@ func digestWords(words []uint64) uint64 {
 }
 
 // ReferenceDigest computes, without executing anything, the digest a clean
-// verify job must produce: every word advanced epochs times from its derived
-// initial value. Both the server (to detect silent corruption before
-// journaling) and the load generator (to audit responses independently)
-// compute it; a recovered request must land exactly here.
+// verify job must produce: every word advanced epochs times (faults.Advance)
+// from its derived initial value. Both the server (to detect silent
+// corruption before journaling) and the load generator (to audit responses
+// independently) compute it; a recovered request must land exactly here.
 func ReferenceDigest(words, epochs int, seed, id uint64) uint64 {
 	final := make([]uint64, words)
 	for i := range final {
-		v := initWord(seed, id, i)
-		for e := 0; e < epochs; e++ {
-			v = update(v)
-		}
-		final[i] = v
+		final[i] = faults.Advance(initWord(seed, id, i), epochs)
 	}
 	return digestWords(final)
 }
@@ -102,15 +93,6 @@ type verifyJob struct {
 	seed   uint64
 }
 
-// verifySnap checkpoints everything a verify epoch mutates. The injection
-// plan lives outside the snapshot: a transient fault does not recur when the
-// epoch re-executes, which is what makes rollback recovery converge.
-type verifySnap struct {
-	mem      memsim.Snapshot
-	state    rt.EpochState
-	counters []rt.Counter
-}
-
 // jobResult is the outcome of one executed request.
 type jobResult struct {
 	digest    uint64
@@ -118,110 +100,50 @@ type jobResult struct {
 	outcome   recovery.Outcome
 }
 
-// runVerify executes one verify job on a pooled sharded tracker under the
-// recovery supervisor. plan, when non-nil, arms a single transient bit flip
-// at the planned (epoch, word, bit) — injected once, mid-epoch, exactly as a
+// runVerify executes one verify job — the faults word-array workload under
+// the def/use checksums — on a pooled sharded tracker under the recovery
+// supervisor. Every boundary scrubs the detector's own state before the
+// merged fold is verified. plan, when non-nil, arms a single transient
+// fault at the planned (epoch, word) — struck once, mid-epoch, exactly as a
 // live memory fault would land. The tracker must arrive recycled.
 func runVerify(ctx context.Context, st *rt.ShardedTracker, job verifyJob, plan *faults.LivePlan, pol recovery.Policy, tel bench.Telemetry, span telemetry.SpanContext) (jobResult, error) {
-	words, epochs := job.words, job.epochs
+	words := job.words
 	mem := memsim.New(words)
+	for i := 0; i < words; i++ {
+		mem.Poke(i, initWord(job.seed, job.id, i))
+	}
 	sh := st.Shard()
 	defer sh.Close()
-	tr := sh.Tracker()
-	counters := sh.Counters(words)
-	for i := 0; i < words; i++ {
-		v := initWord(job.seed, job.id, i)
-		mem.Poke(i, v)
-		rt.DefDyn(tr, &counters[i], uint64(0), v)
+	sums := faults.NewSumWords(mem, sh.Tracker(), sh.Counters(words), st,
+		func(int) error { return st.ScrubDetector() })
+	w := &faults.WordArray{Epochs: job.epochs}
+	if plan != nil {
+		w.Strike = faults.Strike{Epoch: plan.Epoch, Word: plan.Word, Hit: func(k, i int) (int, int) {
+			telemetry.Emit(tel.Trace, telemetry.EvFaultInjected, map[string]any{
+				"request": job.id, "epoch": k, "word": plan.Word, "bit": plan.Bit,
+				"kind": plan.Kind.String(), "partner": plan.Partner, "mode": "live",
+			})
+			if plan.Kind == faults.LiveAddrWrong {
+				// A corrupted index register: this one load observes a
+				// different valid word. The use fold sees the wrong value
+				// (distinct with overwhelming probability — words derive
+				// from splitmix64), so the boundary check flags it.
+				return plan.Partner, i
+			}
+			mem.FlipBit(plan.Word, plan.Bit)
+			return i, i
+		}}
 	}
-	injected := false
-
-	run := func(k int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < words; i++ {
-			loadIdx := i
-			if plan != nil && !injected && k == plan.Epoch && i == plan.Word {
-				injected = true
-				if plan.Kind == faults.LiveAddrWrong {
-					// A corrupted index register: this one load observes a
-					// different valid word. The use fold sees the wrong value
-					// (distinct with overwhelming probability — words derive
-					// from splitmix64), so the boundary check flags it.
-					loadIdx = plan.Partner
-				} else {
-					mem.FlipBit(plan.Word, plan.Bit)
-				}
-				telemetry.Emit(tel.Trace, telemetry.EvFaultInjected, map[string]any{
-					"request": job.id, "epoch": k, "word": plan.Word, "bit": plan.Bit,
-					"kind": plan.Kind.String(), "partner": plan.Partner, "mode": "live",
-				})
-			}
-			v := rt.Use(tr, &counters[i], mem.Load(loadIdx))
-			next := update(v)
-			mem.Store(i, next)
-			rt.DefDyn(tr, &counters[i], v, next)
-		}
-		return nil
-	}
-	verify := func(k int) error {
-		// Finalize every live word so the boundary is checksum-quiescent,
-		// scrub the detector's own state, verify the merged fold, then
-		// re-register the survivors for the next epoch.
-		for i := 0; i < words; i++ {
-			rt.Final(tr, &counters[i], mem.Peek(i))
-		}
-		if err := st.ScrubDetector(); err != nil {
-			return err
-		}
-		_, err := st.EndEpoch()
-		if err == nil && k != epochs-1 {
-			for i := 0; i < words; i++ {
-				rt.DefDyn(tr, &counters[i], uint64(0), mem.Peek(i))
-			}
-		}
-		return err
-	}
-
-	out, err := recovery.Supervise(ctx, recovery.Config{
-		Epochs: epochs,
-		Run:    run,
-		Verify: verify,
-		Checkpoint: func() any {
-			return verifySnap{
-				mem:      mem.Snapshot(),
-				state:    st.BeginEpoch(),
-				counters: append([]rt.Counter(nil), counters...),
-			}
-		},
-		Restore: func(snap any) error {
-			s := snap.(verifySnap)
-			if rerr := mem.Restore(s.mem); rerr != nil {
-				return rerr
-			}
-			if rerr := st.Rollback(s.state); rerr != nil {
-				return rerr
-			}
-			copy(counters, s.counters)
-			return nil
-		},
-		Policy:  pol,
-		Trace:   tel.Trace,
-		Metrics: tel.Metrics,
-		Tracer:  tel.Tracer,
-		Span:    span,
-	})
+	rc := w.Config(ctx, sums)
+	rc.Policy = pol
+	rc.Trace, rc.Metrics, rc.Tracer, rc.Span = tel.Trace, tel.Metrics, tel.Tracer, span
+	out, err := recovery.Supervise(ctx, rc)
 	if err != nil {
 		return jobResult{}, err
 	}
-	final := make([]uint64, words)
-	for i := range final {
-		final[i] = mem.Peek(i)
-	}
 	return jobResult{
-		digest:    digestWords(final),
-		refDigest: ReferenceDigest(words, epochs, job.seed, job.id),
+		digest:    digestWords(mem.Words()),
+		refDigest: ReferenceDigest(words, job.epochs, job.seed, job.id),
 		outcome:   out,
 	}, nil
 }
