@@ -94,7 +94,8 @@ func Analyze(m *pdg.Model) *Flow {
 				}
 				dep, exact := flowDep(w, r, read, writers[w.Write.Array])
 				f.Exact = f.Exact && exact
-				if empty, _ := dep.IsEmpty(); !empty {
+				// flowDep keeps only pieces it has proved non-empty.
+				if len(dep.Pieces) > 0 {
 					f.Deps = append(f.Deps, &Dep{Src: w, Dst: r, DstRead: ri, Rel: dep, Exact: exact})
 				}
 			}

@@ -464,7 +464,7 @@ func (ins *instrumenter) emitInspectorProEpi(plan *inspectorPlan, iv *inspVar) {
 			if extraScale != nil {
 				add = addChk(cs, value(), &lang.Bin{Op: lang.BinMul, L: ce, R: extraScale})
 			}
-			if cond := consToCond(gistParamOnly(piece.Domain), rename); cond != nil {
+			if cond := consToCond(piece.Domain, rename); cond != nil {
 				out = append(out, &lang.If{Cond: cond, Then: []lang.Stmt{add}})
 			} else {
 				out = append(out, add)
@@ -498,12 +498,6 @@ func (ins *instrumenter) emitInspectorProEpi(plan *inspectorPlan, iv *inspVar) {
 		)
 		plan.postWhile = append(plan.postWhile, loopNestOver(iters, iv.decl.Dims, epi)...)
 	}
-}
-
-// gistParamOnly keeps only constraints a generated guard must re-check: cell
-// bounds that merely restate the enclosing rectangular loops are dropped.
-func gistParamOnly(cons []poly.Constraint) []poly.Constraint {
-	return cons
 }
 
 // inspectorDefAdds emits the def-checksum additions after a write to an

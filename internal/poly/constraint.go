@@ -1,7 +1,5 @@
 package poly
 
-import "fmt"
-
 // Constraint is a single affine constraint: E == 0 (when Equality is true) or
 // E >= 0 (otherwise).
 type Constraint struct {
@@ -36,7 +34,7 @@ func (c Constraint) String() string {
 	if c.Equality {
 		op = "="
 	}
-	return fmt.Sprintf("%s %s 0", c.E.String(), op)
+	return c.E.String() + " " + op + " 0"
 }
 
 // Rename returns the constraint with variables renamed through m.
@@ -103,22 +101,46 @@ func (c Constraint) normalize() (Constraint, normState) {
 	if g <= 1 {
 		return c, normKeep
 	}
+	k := floorDiv(c.E.k, g)
 	if c.Equality {
 		if c.E.k%g != 0 {
 			return c, normInfeasy
 		}
-		e := LinExpr{coeffs: make(map[string]int64, len(c.E.coeffs)), k: c.E.k / g}
-		for v, k := range c.E.coeffs {
-			e.coeffs[v] = k / g
-		}
-		return Constraint{E: e, Equality: true}, normKeep
+		k = c.E.k / g
 	}
-	e := LinExpr{coeffs: make(map[string]int64, len(c.E.coeffs)), k: floorDiv(c.E.k, g)}
-	for v, k := range c.E.coeffs {
-		e.coeffs[v] = k / g
+	e := LinExpr{terms: make([]term, len(c.E.terms)), k: k}
+	for i, t := range c.E.terms {
+		e.terms[i] = term{v: t.v, c: t.c / g}
 	}
-	return Constraint{E: e}, normKeep
+	return Constraint{E: e, Equality: c.Equality}, normKeep
 }
 
-// key returns a canonical string used for constraint deduplication.
-func (c Constraint) key() string { return c.String() }
+// hash is a structural hash of the constraint (relation, terms, constant):
+// FNV-1a over the variable names' bytes and the integer fields. Two
+// constraints with equal String() hash alike; same resolves collisions.
+func (c Constraint) hash() uint64 {
+	h := uint64(fnvOffset)
+	if c.Equality {
+		h = (h ^ 1) * fnvPrime
+	}
+	for _, t := range c.E.terms {
+		for i := 0; i < len(t.v); i++ {
+			h = (h ^ uint64(t.v[i])) * fnvPrime
+		}
+		h = (h ^ uint64(t.c)) * fnvPrime
+	}
+	return (h ^ uint64(c.E.k)) * fnvPrime
+}
+
+// The 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// same reports whether the two constraints are structurally identical. As
+// terms are sorted and zero-free, that is exactly when their String()
+// values are equal.
+func (c Constraint) same(o Constraint) bool {
+	return c.Equality == o.Equality && c.E.Equal(o.E)
+}

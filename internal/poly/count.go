@@ -152,17 +152,22 @@ func mergePieces(pw Piecewise) Piecewise {
 	return out
 }
 
+// sameDomain reports whether a and b hold the same constraints with the
+// same multiplicities, in any order.
 func sameDomain(a, b []Constraint) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	seen := map[string]int{}
+	used := make([]bool, len(b))
 	for _, c := range a {
-		seen[c.key()]++
-	}
-	for _, c := range b {
-		seen[c.key()]--
-		if seen[c.key()] < 0 {
+		found := false
+		for j, d := range b {
+			if !used[j] && d.same(c) {
+				used[j], found = true, true
+				break
+			}
+		}
+		if !found {
 			return false
 		}
 	}

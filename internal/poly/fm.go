@@ -1,6 +1,6 @@
 package poly
 
-import "sort"
+import "slices"
 
 // This file implements variable elimination over systems of integer affine
 // constraints: substitution through equalities when possible (exact) and
@@ -12,18 +12,34 @@ import "sort"
 // variable (the real shadow can exceed the integer shadow).
 
 // system is a constraint set with dedup and infeasibility tracking.
+// hashes[i] is cons[i].hash(); a new constraint is a duplicate when an
+// earlier one has the same hash and is structurally the same.
 type system struct {
 	cons       []Constraint
-	seen       map[string]bool
+	hashes     []uint64
 	infeasible bool
 }
 
 func newSystem(cs []Constraint) *system {
-	s := &system{seen: make(map[string]bool, len(cs))}
+	s := newSystemCap(len(cs))
 	for _, c := range cs {
 		s.add(c)
 	}
 	return s
+}
+
+// newSystemCap returns an empty system with room for n constraints.
+func newSystemCap(n int) *system {
+	return &system{cons: make([]Constraint, 0, n), hashes: make([]uint64, 0, n)}
+}
+
+// clone returns a copy of s with room for one more constraint.
+func (s *system) clone() *system {
+	c := newSystemCap(len(s.cons) + 1)
+	c.cons = append(c.cons, s.cons...)
+	c.hashes = append(c.hashes, s.hashes...)
+	c.infeasible = s.infeasible
+	return c
 }
 
 func (s *system) add(c Constraint) {
@@ -35,18 +51,21 @@ func (s *system) add(c Constraint) {
 		s.infeasible = true
 		return
 	}
-	k := nc.key()
-	if s.seen[k] {
-		return
+	h := nc.hash()
+	for i, seen := range s.hashes {
+		if seen == h && s.cons[i].same(nc) {
+			return
+		}
 	}
-	s.seen[k] = true
 	s.cons = append(s.cons, nc)
+	s.hashes = append(s.hashes, h)
 }
 
+// list returns the constraints. The slice shares the system's array with
+// its capacity capped, so appending to it copies; constraints are values
+// that no caller writes in place.
 func (s *system) list() []Constraint {
-	out := make([]Constraint, len(s.cons))
-	copy(out, s.cons)
-	return out
+	return s.cons[:len(s.cons):len(s.cons)]
 }
 
 // eliminate removes variable v from cons, returning the projected system, a
@@ -71,67 +90,74 @@ func eliminate(cons []Constraint, v string) (out []Constraint, exact, infeasible
 	}
 	if bestEq >= 0 {
 		eq := cons[bestEq]
-		a := eq.E.Coeff(v)
+		ie := eq.E.index(v)
+		a := eq.E.terms[ie].c
+		sys := newSystemCap(len(cons))
 		if a == 1 || a == -1 {
-			// v = rest where rest = -(eq - a*v)/a.
-			rest := eq.E.Subst(v, L(0)).Scale(-a) // a^2 = 1
-			sys := newSystem(nil)
+			// v = rest where rest = -a*(eq - a*v) (a^2 = 1), so c becomes
+			// c - cv*v + cv*rest = c\v + (-a*cv)*(eq\v).
 			for i, c := range cons {
 				if i == bestEq {
 					continue
 				}
-				sys.add(c.Subst(v, rest))
+				if ic := c.E.index(v); ic >= 0 {
+					c = Constraint{E: combine(c.E, 1, ic, eq.E, -a*c.E.terms[ic].c, ie), Equality: c.Equality}
+				}
+				sys.add(c)
 			}
 			return sys.list(), true, sys.infeasible
 		}
-		// Non-unit equality a*v = -rest: scale the other constraints by |a|
-		// and substitute a*v. Drops the divisibility condition a | rest, so
-		// the result is a superset: mark inexact.
+		// Non-unit equality a*v + rest == 0 (a > 0 after flipping the sign):
+		// scale the other constraints by a and substitute a*v = -rest. Drops
+		// the divisibility condition a | rest, so the result is a superset:
+		// mark inexact.
 		if a < 0 {
 			eq = EqZero(eq.E.Neg())
 			a = -a
 		}
-		rest := eq.E.Subst(v, L(0)) // a*v + rest == 0, so a*v == -rest
-		sys := newSystem(nil)
 		for i, c := range cons {
 			if i == bestEq {
 				continue
 			}
-			cv := c.E.Coeff(v)
-			if cv == 0 {
+			ic := c.E.index(v)
+			if ic < 0 {
 				sys.add(c)
 				continue
 			}
-			// a*c.E = a*cv*v + a*(c.E - cv*v) = cv*(a*v) + a*rest'
-			scaled := c.E.Subst(v, L(0)).Scale(a).Add(rest.Neg().Scale(cv))
+			// a*c.E = cv*(a*v) + a*(c.E - cv*v) = a*(c\v) - cv*rest
+			scaled := combine(c.E, a, ic, eq.E, -c.E.terms[ic].c, ie)
 			sys.add(Constraint{E: scaled, Equality: c.Equality})
 		}
 		return sys.list(), false, sys.infeasible
 	}
 
-	// Fourier-Motzkin on inequalities.
-	var lowers, uppers []Constraint // coeff(v) > 0, coeff(v) < 0
-	sys := newSystem(nil)
-	for _, c := range cons {
+	// Fourier-Motzkin on inequalities. lowers and uppers index cons by the
+	// sign of v's coefficient.
+	var lbuf, ubuf [16]int
+	lowers, uppers := lbuf[:0], ubuf[:0]
+	sys := newSystemCap(len(cons))
+	for i, c := range cons {
 		a := c.E.Coeff(v)
 		switch {
 		case a == 0:
 			sys.add(c)
 		case a > 0:
-			lowers = append(lowers, c)
+			lowers = append(lowers, i)
 		default:
-			uppers = append(uppers, c)
+			uppers = append(uppers, i)
 		}
 	}
-	for _, lo := range lowers {
-		cl := lo.E.Coeff(v)
-		rl := lo.E.Subst(v, L(0))
-		for _, up := range uppers {
-			cu := -up.E.Coeff(v)
-			ru := up.E.Subst(v, L(0))
+	for _, li := range lowers {
+		lo := cons[li].E
+		il := lo.index(v)
+		cl := lo.terms[il].c
+		for _, ui := range uppers {
+			up := cons[ui].E
+			iu := up.index(v)
+			cu := -up.terms[iu].c
 			// From cl*v + rl >= 0 and -cu*v + ru >= 0:
 			// cu*rl + cl*ru >= 0 is the real shadow.
-			sys.add(GeZero(rl.Scale(cu).Add(ru.Scale(cl))))
+			sys.add(GeZero(combine(lo, cu, il, up, cl, iu)))
 			if cl != 1 && cu != 1 {
 				exact = false
 			}
@@ -140,19 +166,22 @@ func eliminate(cons []Constraint, v string) (out []Constraint, exact, infeasible
 	return sys.list(), exact, sys.infeasible
 }
 
-// varsOf returns all variables appearing in the constraints, sorted.
+// varsOf returns all variables appearing in the constraints, sorted. Each
+// constraint's terms are sorted too, so they merge into the result in one
+// forward pass.
 func varsOf(cons []Constraint) []string {
-	set := map[string]bool{}
+	var vs []string
 	for _, c := range cons {
-		for _, v := range c.E.Vars() {
-			set[v] = true
+		j := 0
+		for _, t := range c.E.terms {
+			for j < len(vs) && vs[j] < t.v {
+				j++
+			}
+			if j == len(vs) || vs[j] != t.v {
+				vs = slices.Insert(vs, j, t.v)
+			}
 		}
 	}
-	vs := make([]string, 0, len(set))
-	for v := range set {
-		vs = append(vs, v)
-	}
-	sort.Strings(vs)
 	return vs
 }
 
@@ -163,7 +192,13 @@ func project(cons []Constraint, vars []string) (out []Constraint, exact bool, in
 	if sys0.infeasible {
 		return nil, true, true
 	}
-	out = sys0.list()
+	return projectNormalized(sys0.cons, vars)
+}
+
+// projectNormalized is project on a list that is already normalized and
+// deduplicated (a system's cons). It does not modify cons.
+func projectNormalized(cons []Constraint, vars []string) (out []Constraint, exact bool, infeasible bool) {
+	out = cons
 	exact = true
 	remaining := append([]string(nil), vars...)
 	for len(remaining) > 0 {
@@ -216,11 +251,17 @@ func elimCost(cons []Constraint, v string) (cost int, hasUnitEq bool) {
 // is false, the system might still be integer-empty (rational relaxation was
 // non-empty).
 func emptiness(cons []Constraint) (empty, exact bool) {
-	sys := newSystem(cons)
-	if sys.infeasible {
+	return newSystem(cons).emptiness()
+}
+
+// emptiness is the package-level emptiness on the system's normalized list.
+// The answer depends only on that list, in order: eliminate substitutes
+// through the first unit equality it finds, so exact can change with order.
+func (s *system) emptiness() (empty, exact bool) {
+	if s.infeasible {
 		return true, true
 	}
-	out, ex, inf := project(sys.list(), varsOf(sys.list()))
+	out, ex, inf := projectNormalized(s.cons, varsOf(s.cons))
 	if inf {
 		return true, true
 	}
@@ -233,4 +274,49 @@ func emptiness(cons []Constraint) (empty, exact bool) {
 		}
 	}
 	return false, ex
+}
+
+// emptyMemo remembers emptiness answers for the duration of one
+// Set.Subtract call, where the same basic set is tested again and again.
+// It is keyed on the ordered normalized constraint list, because the answer
+// depends on the order (see system.emptiness). It is a local value, never
+// shared across calls or goroutines.
+type emptyMemo map[uint64][]memoEntry
+
+type memoEntry struct {
+	cons  []Constraint
+	empty bool
+}
+
+// empty reports whether the normalized system is empty, consulting and
+// filling the memo.
+func (m emptyMemo) empty(sys *system) bool {
+	if sys.infeasible {
+		return true
+	}
+	h := uint64(fnvOffset)
+	for _, ch := range sys.hashes {
+		h = (h ^ ch) * fnvPrime
+	}
+	for _, e := range m[h] {
+		if sameList(e.cons, sys.cons) {
+			return e.empty
+		}
+	}
+	empty, _ := sys.emptiness()
+	m[h] = append(m[h], memoEntry{cons: sys.cons, empty: empty})
+	return empty
+}
+
+// sameList reports whether two constraint lists are the same in order.
+func sameList(a, b []Constraint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].same(b[i]) {
+			return false
+		}
+	}
+	return true
 }

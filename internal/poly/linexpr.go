@@ -12,99 +12,134 @@
 // silently approximating.
 package poly
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strconv"
+
+// term is one variable term c*v of a LinExpr.
+type term struct {
+	v string
+	c int64
+}
 
 // LinExpr is an affine expression: a sum of integer-coefficient terms over
 // named variables plus an integer constant. The zero value is the constant 0.
-// LinExpr values are immutable; all methods return new expressions.
+// LinExpr values are immutable; all methods return new expressions. The
+// terms are kept sorted by variable name with no zero coefficient, so
+// equality, hashing and rendering walk them in order and Add, Sub and Subst
+// are linear merges. Expressions may share a terms slice; none is ever
+// written after construction.
 type LinExpr struct {
-	coeffs map[string]int64
-	k      int64
+	terms []term
+	k     int64
 }
 
 // L returns the constant expression k.
 func L(k int64) LinExpr { return LinExpr{k: k} }
 
 // V returns the expression consisting of the single variable name.
-func V(name string) LinExpr {
-	return LinExpr{coeffs: map[string]int64{name: 1}}
-}
+func V(name string) LinExpr { return Term(1, name) }
 
 // Term returns c*name.
 func Term(c int64, name string) LinExpr {
 	if c == 0 {
 		return LinExpr{}
 	}
-	return LinExpr{coeffs: map[string]int64{name: c}}
-}
-
-func (e LinExpr) clone() LinExpr {
-	c := make(map[string]int64, len(e.coeffs))
-	for v, k := range e.coeffs {
-		c[v] = k
-	}
-	return LinExpr{coeffs: c, k: e.k}
+	return LinExpr{terms: []term{{v: name, c: c}}}
 }
 
 // Const returns the constant term.
 func (e LinExpr) Const() int64 { return e.k }
 
+// index returns the position of v in e.terms, or -1.
+func (e LinExpr) index(v string) int {
+	for i, t := range e.terms {
+		if t.v == v {
+			return i
+		}
+		if t.v > v {
+			break
+		}
+	}
+	return -1
+}
+
 // Coeff returns the coefficient of variable v (0 if absent).
-func (e LinExpr) Coeff(v string) int64 { return e.coeffs[v] }
+func (e LinExpr) Coeff(v string) int64 {
+	if i := e.index(v); i >= 0 {
+		return e.terms[i].c
+	}
+	return 0
+}
 
 // IsConst reports whether the expression has no variable terms.
-func (e LinExpr) IsConst() bool { return len(e.coeffs) == 0 }
+func (e LinExpr) IsConst() bool { return len(e.terms) == 0 }
 
 // Vars returns the variables with nonzero coefficients, sorted.
 func (e LinExpr) Vars() []string {
-	vs := make([]string, 0, len(e.coeffs))
-	for v := range e.coeffs {
-		vs = append(vs, v)
+	vs := make([]string, len(e.terms))
+	for i, t := range e.terms {
+		vs[i] = t.v
 	}
-	sort.Strings(vs)
 	return vs
 }
 
 // Uses reports whether variable v occurs with nonzero coefficient.
-func (e LinExpr) Uses(v string) bool { return e.coeffs[v] != 0 }
+func (e LinExpr) Uses(v string) bool { return e.index(v) >= 0 }
 
-// Add returns e + f.
-func (e LinExpr) Add(f LinExpr) LinExpr {
-	r := e.clone()
-	r.k += f.k
-	for v, c := range f.coeffs {
-		nc := r.coeffs[v] + c
-		if nc == 0 {
-			delete(r.coeffs, v)
-		} else {
-			r.coeffs[v] = nc
+// combine returns sa*e + sb*f, leaving out e's term at index skipE and f's
+// at index skipF (-1 keeps every term). Both term lists are sorted, so this
+// is one merge pass and one allocation.
+func combine(e LinExpr, sa int64, skipE int, f LinExpr, sb int64, skipF int) LinExpr {
+	r := LinExpr{k: sa*e.k + sb*f.k}
+	if n := len(e.terms) + len(f.terms); n > 0 {
+		r.terms = make([]term, 0, n)
+	}
+	i, j := 0, 0
+	for {
+		if i == skipE {
+			i++
+		}
+		if j == skipF {
+			j++
+		}
+		switch {
+		case i == len(e.terms) && j == len(f.terms):
+			return r
+		case j == len(f.terms) || (i < len(e.terms) && e.terms[i].v < f.terms[j].v):
+			r.terms = append(r.terms, term{v: e.terms[i].v, c: sa * e.terms[i].c})
+			i++
+		case i == len(e.terms) || f.terms[j].v < e.terms[i].v:
+			r.terms = append(r.terms, term{v: f.terms[j].v, c: sb * f.terms[j].c})
+			j++
+		default:
+			if c := sa*e.terms[i].c + sb*f.terms[j].c; c != 0 {
+				r.terms = append(r.terms, term{v: e.terms[i].v, c: c})
+			}
+			i++
+			j++
 		}
 	}
-	return r
 }
+
+// Add returns e + f.
+func (e LinExpr) Add(f LinExpr) LinExpr { return combine(e, 1, -1, f, 1, -1) }
 
 // Sub returns e - f.
-func (e LinExpr) Sub(f LinExpr) LinExpr { return e.Add(f.Scale(-1)) }
+func (e LinExpr) Sub(f LinExpr) LinExpr { return combine(e, 1, -1, f, -1, -1) }
 
 // AddConst returns e + k.
-func (e LinExpr) AddConst(k int64) LinExpr {
-	r := e.clone()
-	r.k += k
-	return r
-}
+func (e LinExpr) AddConst(k int64) LinExpr { return LinExpr{terms: e.terms, k: e.k + k} }
 
 // Scale returns c*e.
 func (e LinExpr) Scale(c int64) LinExpr {
 	if c == 0 {
 		return LinExpr{}
 	}
-	r := LinExpr{coeffs: make(map[string]int64, len(e.coeffs)), k: e.k * c}
-	for v, k := range e.coeffs {
-		r.coeffs[v] = k * c
+	r := LinExpr{k: e.k * c}
+	if len(e.terms) > 0 {
+		r.terms = make([]term, len(e.terms))
+		for i, t := range e.terms {
+			r.terms[i] = term{v: t.v, c: t.c * c}
+		}
 	}
 	return r
 }
@@ -114,31 +149,56 @@ func (e LinExpr) Neg() LinExpr { return e.Scale(-1) }
 
 // Subst returns e with variable v replaced by expression f.
 func (e LinExpr) Subst(v string, f LinExpr) LinExpr {
-	c := e.coeffs[v]
-	if c == 0 {
+	i := e.index(v)
+	if i < 0 {
 		return e
 	}
-	r := e.clone()
-	delete(r.coeffs, v)
-	r2 := LinExpr{coeffs: r.coeffs, k: r.k}
-	return r2.Add(f.Scale(c))
+	return combine(e, 1, i, f, e.terms[i].c, -1)
 }
 
 // Rename returns e with every variable renamed through m; variables absent
 // from m are kept.
 func (e LinExpr) Rename(m map[string]string) LinExpr {
-	r := LinExpr{coeffs: make(map[string]int64, len(e.coeffs)), k: e.k}
-	for v, c := range e.coeffs {
-		nv, ok := m[v]
-		if !ok {
-			nv = v
+	var r []term
+	for i, t := range e.terms {
+		nv, ok := m[t.v]
+		if !ok || nv == t.v {
+			if r != nil {
+				r = append(r, t)
+			}
+			continue
 		}
-		r.coeffs[nv] += c
-		if r.coeffs[nv] == 0 {
-			delete(r.coeffs, nv)
+		if r == nil {
+			r = make([]term, i, len(e.terms))
+			copy(r, e.terms[:i])
+		}
+		r = append(r, term{v: nv, c: t.c})
+	}
+	if r == nil {
+		return e
+	}
+	// Insertion sort: expressions have a handful of terms.
+	for i := 1; i < len(r); i++ {
+		for j := i; j > 0 && r[j].v < r[j-1].v; j-- {
+			r[j], r[j-1] = r[j-1], r[j]
 		}
 	}
-	return r
+	// Merge terms renamed onto the same variable.
+	out := r[:0]
+	for _, t := range r {
+		if n := len(out); n > 0 && out[n-1].v == t.v {
+			out[n-1].c += t.c
+			if out[n-1].c == 0 {
+				out = out[:n-1]
+			}
+			continue
+		}
+		out = append(out, t)
+	}
+	if len(out) == 0 {
+		out = nil
+	}
+	return LinExpr{terms: out, k: e.k}
 }
 
 // Eval evaluates e under the assignment env. Missing variables evaluate as 0
@@ -146,23 +206,23 @@ func (e LinExpr) Rename(m map[string]string) LinExpr {
 func (e LinExpr) Eval(env map[string]int64) (int64, bool) {
 	total := e.k
 	complete := true
-	for v, c := range e.coeffs {
-		val, ok := env[v]
+	for _, t := range e.terms {
+		val, ok := env[t.v]
 		if !ok {
 			complete = false
 		}
-		total += c * val
+		total += t.c * val
 	}
 	return total, complete
 }
 
 // Equal reports structural equality of the two expressions.
 func (e LinExpr) Equal(f LinExpr) bool {
-	if e.k != f.k || len(e.coeffs) != len(f.coeffs) {
+	if e.k != f.k || len(e.terms) != len(f.terms) {
 		return false
 	}
-	for v, c := range e.coeffs {
-		if f.coeffs[v] != c {
+	for i, t := range e.terms {
+		if f.terms[i] != t {
 			return false
 		}
 	}
@@ -172,37 +232,42 @@ func (e LinExpr) Equal(f LinExpr) bool {
 // String renders the expression in human-readable form, e.g. "n - j - 1".
 func (e LinExpr) String() string {
 	if e.IsConst() {
-		return fmt.Sprintf("%d", e.k)
+		return strconv.FormatInt(e.k, 10)
 	}
-	var b strings.Builder
-	first := true
-	for _, v := range e.Vars() {
-		c := e.coeffs[v]
+	b := make([]byte, 0, 16*len(e.terms))
+	for i, t := range e.terms {
+		c := t.c
 		switch {
-		case first && c == 1:
-			b.WriteString(v)
-		case first && c == -1:
-			b.WriteString("-" + v)
-		case first:
-			fmt.Fprintf(&b, "%d*%s", c, v)
+		case i == 0 && c == -1:
+			b = append(b, '-')
+		case i == 0 && c != 1:
+			b = strconv.AppendInt(b, c, 10)
+			b = append(b, '*')
+		case i == 0:
 		case c == 1:
-			b.WriteString(" + " + v)
+			b = append(b, " + "...)
 		case c == -1:
-			b.WriteString(" - " + v)
+			b = append(b, " - "...)
 		case c > 0:
-			fmt.Fprintf(&b, " + %d*%s", c, v)
+			b = append(b, " + "...)
+			b = strconv.AppendInt(b, c, 10)
+			b = append(b, '*')
 		default:
-			fmt.Fprintf(&b, " - %d*%s", -c, v)
+			b = append(b, " - "...)
+			b = strconv.AppendInt(b, -c, 10)
+			b = append(b, '*')
 		}
-		first = false
+		b = append(b, t.v...)
 	}
 	switch {
 	case e.k > 0:
-		fmt.Fprintf(&b, " + %d", e.k)
+		b = append(b, " + "...)
+		b = strconv.AppendInt(b, e.k, 10)
 	case e.k < 0:
-		fmt.Fprintf(&b, " - %d", -e.k)
+		b = append(b, " - "...)
+		b = strconv.AppendInt(b, -e.k, 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 func gcd64(a, b int64) int64 {
@@ -221,8 +286,8 @@ func gcd64(a, b int64) int64 {
 // contentGCD returns the gcd of the variable coefficients (0 if none).
 func (e LinExpr) contentGCD() int64 {
 	var g int64
-	for _, c := range e.coeffs {
-		g = gcd64(g, c)
+	for _, t := range e.terms {
+		g = gcd64(g, t.c)
 	}
 	return g
 }

@@ -3,6 +3,7 @@ package poly
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // BasicMap is a conjunction of affine constraints relating an input tuple to
@@ -70,12 +71,12 @@ func (m BasicMap) Rename(r map[string]string) BasicMap {
 	return nm
 }
 
-// freshCounter generates collision-free internal variable names.
-var freshCounter int
+// freshCounter generates collision-free internal variable names. It is
+// atomic because concurrent compiles may apply maps at the same time.
+var freshCounter atomic.Int64
 
 func fresh(prefix string) string {
-	freshCounter++
-	return fmt.Sprintf("%s$%d", prefix, freshCounter)
+	return fmt.Sprintf("%s$%d", prefix, freshCounter.Add(1))
 }
 
 // Apply computes the image of the basic set under the map: the set of output

@@ -215,8 +215,9 @@ func (s Set) Intersect(o Set) Set {
 }
 
 // subtractBasic computes a \ b as a union: for each constraint of b, the part
-// of a violating it.
-func subtractBasic(a, b BasicSet) []BasicSet {
+// of a violating it. memo carries emptiness answers across the calls of one
+// Subtract.
+func subtractBasic(a, b BasicSet, memo emptyMemo) []BasicSet {
 	if len(a.Dims) != len(b.Dims) {
 		panic("poly: subtract dimension mismatch")
 	}
@@ -227,27 +228,31 @@ func subtractBasic(a, b BasicSet) []BasicSet {
 	rb := b.Rename(m)
 	var out []BasicSet
 	// Build pieces incrementally: piece_i = a ∧ c_1 ∧ ... ∧ c_{i-1} ∧ ¬c_i,
-	// which makes the result pieces pairwise disjoint.
-	prefix := a.Copy()
+	// which makes the result pieces pairwise disjoint. prefix is the
+	// normalized system of a ∧ c_1 ∧ ... ∧ c_{i-1}; adding ¬c_i to a clone
+	// gives exactly newSystem of the piece's constraints.
+	prefix := newSystem(a.Cons)
 	for _, c := range rb.Cons {
 		for _, neg := range c.Negate() {
-			p := prefix.With(neg)
-			if e, _ := p.IsEmpty(); !e {
-				out = append(out, p.Simplified())
+			p := prefix.clone()
+			p.add(neg)
+			if !memo.empty(p) {
+				out = append(out, BasicSet{Tuple: a.Tuple, Dims: append([]string(nil), a.Dims...), Cons: p.list()})
 			}
 		}
-		prefix = prefix.With(c)
+		prefix.add(c)
 	}
 	return out
 }
 
 // Subtract returns s \ o.
 func (s Set) Subtract(o Set) Set {
+	memo := emptyMemo{}
 	cur := append([]BasicSet(nil), s.Pieces...)
 	for _, b := range o.Pieces {
 		var next []BasicSet
 		for _, a := range cur {
-			next = append(next, subtractBasic(a, b)...)
+			next = append(next, subtractBasic(a, b, memo)...)
 		}
 		cur = next
 	}

@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"sort"
 	"testing"
+	"time"
 
 	"defuse/internal/checksum"
 	"defuse/telemetry"
@@ -54,39 +56,57 @@ func BenchmarkShardedFoldTracerEnabled(b *testing.B) {
 // TestDisabledTracerOverheadGuard pins the disabled path: a ShardedTracker
 // with a nil tracer armed must fold within 2% of one that never heard of
 // tracing. The fold loop merges every 1024 ops so the guarded (nil-checked)
-// merge path runs thousands of times per measurement; best-of-5 absorbs
-// scheduler noise. An over-budget ratio means span bookkeeping leaked onto
-// the fold or per-merge path.
+// merge path runs thousands of times per measurement. The two folds run in
+// alternating pairs of equal op counts, the order flipping from pair to
+// pair so clock drift and thermal ramps hit both sides equally, and the
+// guard reads the median of the per-pair ratios, which a preempted sample
+// on a busy host cannot move. An over-budget ratio means span bookkeeping
+// leaked onto the fold or per-merge path.
 func TestDisabledTracerOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")
-	}
-	// testing.BenchmarkResult.NsPerOp truncates to integer nanoseconds — a
-	// ~15 ns/op loop would quantize to ~7% steps, swamping a 2% budget — so
-	// measure in float ns. Runs are interleaved so clock drift and thermal
-	// ramps hit both sides equally.
-	nsPerOp := func(f func(b *testing.B)) float64 {
-		r := testing.Benchmark(f)
-		return float64(r.T.Nanoseconds()) / float64(r.N)
 	}
 	plain := NewShardedWith(checksum.ModAdd)
 	shPlain := plain.Shard()
 	disabled := NewShardedWith(checksum.ModAdd)
 	disabled.SetTracer(nil, telemetry.SpanContext{})
 	shDisabled := disabled.Shard()
-
-	baseline, traced := 0.0, 0.0
-	for i := 0; i < 5; i++ {
-		if b := nsPerOp(func(b *testing.B) { tracedFoldLoop(shPlain, b.N) }); baseline == 0 || b < baseline {
-			baseline = b
-		}
-		if d := nsPerOp(func(b *testing.B) { tracedFoldLoop(shDisabled, b.N) }); traced == 0 || d < traced {
-			traced = d
-		}
+	fold := func(sh *Shard, n int) time.Duration {
+		start := time.Now()
+		tracedFoldLoop(sh, n)
+		return time.Since(start)
 	}
 
-	ratio := traced / baseline
-	t.Logf("no-tracer %.2f ns/op, disabled-tracer %.2f ns/op, ratio %.3f (guard 1.02x)", baseline, traced, ratio)
+	// Size one sample to at least 20 ms of folding; this also warms both
+	// trackers.
+	n := 1 << 16
+	for fold(shPlain, n) < 20*time.Millisecond {
+		n *= 2
+	}
+	fold(shDisabled, n)
+
+	const pairs = 41
+	ratios := make([]float64, pairs)
+	var plainSum, tracedSum time.Duration
+	for i := range ratios {
+		var base, traced time.Duration
+		if i%2 == 0 {
+			base = fold(shPlain, n)
+			traced = fold(shDisabled, n)
+		} else {
+			traced = fold(shDisabled, n)
+			base = fold(shPlain, n)
+		}
+		plainSum += base
+		tracedSum += traced
+		ratios[i] = float64(traced) / float64(base)
+	}
+	sort.Float64s(ratios)
+	ratio := ratios[pairs/2]
+	ops := float64(n) * pairs
+	t.Logf("no-tracer %.2f ns/op, disabled-tracer %.2f ns/op; per-pair ratio median %.3f, quartiles %.3f..%.3f over %d pairs of %d ops (guard 1.02x)",
+		float64(plainSum.Nanoseconds())/ops, float64(tracedSum.Nanoseconds())/ops,
+		ratio, ratios[pairs/4], ratios[3*pairs/4], pairs, n)
 	if ratio > 1.02 {
 		t.Errorf("disabled-tracer fold overhead ratio %.3f exceeds the 2%% guard", ratio)
 	}
